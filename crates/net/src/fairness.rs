@@ -463,74 +463,128 @@ mod proptests {
         })
     }
 
+    /// No link oversubscribed, no flow above its cap, every allocation
+    /// finite and non-negative, and zero-weight flows get zero.
+    fn check_respects_capacities_and_caps(caps: &[f64], flows: &[FlowDemand]) {
+        let alloc = max_min_allocate(caps, flows);
+        prop_assert_eq!(alloc.len(), flows.len());
+        for (l, &c) in caps.iter().enumerate() {
+            let used: f64 = flows
+                .iter()
+                .zip(&alloc)
+                .filter(|(f, _)| f.links.contains(&l))
+                .map(|(_, a)| *a)
+                .sum();
+            prop_assert!(
+                used <= c * (1.0 + 1e-6) + 1e-6,
+                "link {} oversubscribed: {} > {}",
+                l,
+                used,
+                c
+            );
+        }
+        for (f, &a) in flows.iter().zip(&alloc) {
+            prop_assert!(a >= 0.0 && a.is_finite());
+            prop_assert!(a <= f.demand_cap * (1.0 + 1e-9) + 1e-9);
+            if f.weight == 0.0 {
+                prop_assert_eq!(a, 0.0);
+            }
+        }
+    }
+
+    /// Work-conservation flavour: a flow strictly below its cap must cross
+    /// at least one link that is (nearly) saturated.
+    fn check_unbottlenecked_flows_reach_caps(caps: &[f64], flows: &[FlowDemand]) {
+        let alloc = max_min_allocate(caps, flows);
+        for (i, (f, &a)) in flows.iter().zip(&alloc).enumerate() {
+            if f.weight == 0.0 || f.demand_cap <= 0.0 {
+                continue;
+            }
+            if a + 1e-6 < f.demand_cap.min(1e18) {
+                let saturated = f.links.iter().any(|&l| {
+                    let used: f64 = flows
+                        .iter()
+                        .zip(&alloc)
+                        .filter(|(g, _)| g.links.contains(&l))
+                        .map(|(_, x)| *x)
+                        .sum();
+                    used >= caps[l] * (1.0 - 1e-6) - 1e-6
+                });
+                prop_assert!(saturated, "flow {} below cap but no saturated link", i);
+            }
+        }
+    }
+
+    /// Homogeneity: doubling all capacities and caps doubles the result.
+    fn check_scaling_scales_allocation(caps: &[f64], flows: &[FlowDemand]) {
+        let a1 = max_min_allocate(caps, flows);
+        let caps2: Vec<f64> = caps.iter().map(|c| c * 2.0).collect();
+        let flows2: Vec<FlowDemand> = flows
+            .iter()
+            .map(|f| FlowDemand {
+                weight: f.weight,
+                demand_cap: f.demand_cap * 2.0,
+                links: f.links.clone(),
+            })
+            .collect();
+        let a2 = max_min_allocate(&caps2, &flows2);
+        for (x, y) in a1.iter().zip(&a2) {
+            prop_assert!(
+                (y - 2.0 * x).abs() <= 1e-6 * (1.0 + y.abs()),
+                "not homogeneous: {} vs {}",
+                x,
+                y
+            );
+        }
+    }
+
     proptest! {
         #[test]
         fn allocation_respects_capacities_and_caps((caps, flows) in arb_problem()) {
-            let alloc = max_min_allocate(&caps, &flows);
-            prop_assert_eq!(alloc.len(), flows.len());
-            // No link oversubscribed.
-            for (l, &c) in caps.iter().enumerate() {
-                let used: f64 = flows
-                    .iter()
-                    .zip(&alloc)
-                    .filter(|(f, _)| f.links.contains(&l))
-                    .map(|(_, a)| *a)
-                    .sum();
-                prop_assert!(used <= c * (1.0 + 1e-6) + 1e-6,
-                    "link {} oversubscribed: {} > {}", l, used, c);
-            }
-            // No flow above its cap; all allocations non-negative and finite.
-            for (f, &a) in flows.iter().zip(&alloc) {
-                prop_assert!(a >= 0.0 && a.is_finite());
-                prop_assert!(a <= f.demand_cap * (1.0 + 1e-9) + 1e-9);
-                if f.weight == 0.0 {
-                    prop_assert_eq!(a, 0.0);
-                }
-            }
+            check_respects_capacities_and_caps(&caps, &flows);
         }
 
         #[test]
         fn unbottlenecked_flows_reach_their_caps((caps, flows) in arb_problem()) {
-            let alloc = max_min_allocate(&caps, &flows);
-            // Work-conservation flavour: a flow strictly below its cap must
-            // cross at least one link that is (nearly) saturated.
-            for (i, (f, &a)) in flows.iter().zip(&alloc).enumerate() {
-                if f.weight == 0.0 || f.demand_cap <= 0.0 {
-                    continue;
-                }
-                if a + 1e-6 < f.demand_cap.min(1e18) {
-                    let saturated = f.links.iter().any(|&l| {
-                        let used: f64 = flows
-                            .iter()
-                            .zip(&alloc)
-                            .filter(|(g, _)| g.links.contains(&l))
-                            .map(|(_, x)| *x)
-                            .sum();
-                        used >= caps[l] * (1.0 - 1e-6) - 1e-6
-                    });
-                    prop_assert!(saturated, "flow {} below cap but no saturated link", i);
-                }
-            }
+            check_unbottlenecked_flows_reach_caps(&caps, &flows);
         }
 
         #[test]
         fn scaling_capacities_scales_allocation((caps, flows) in arb_problem()) {
-            // Homogeneity: doubling all capacities and caps doubles the result.
-            let a1 = max_min_allocate(&caps, &flows);
-            let caps2: Vec<f64> = caps.iter().map(|c| c * 2.0).collect();
-            let flows2: Vec<FlowDemand> = flows
-                .iter()
-                .map(|f| FlowDemand {
-                    weight: f.weight,
-                    demand_cap: f.demand_cap * 2.0,
-                    links: f.links.clone(),
-                })
-                .collect();
-            let a2 = max_min_allocate(&caps2, &flows2);
-            for (x, y) in a1.iter().zip(&a2) {
-                prop_assert!((y - 2.0 * x).abs() <= 1e-6 * (1.0 + y.abs()),
-                    "not homogeneous: {} vs {}", x, y);
-            }
+            check_scaling_scales_allocation(&caps, &flows);
         }
+    }
+
+    /// A case real proptest once shrank a failure to: five links, one
+    /// capped flow alone on link 0, two uncapped flows sharing link 1.
+    #[test]
+    fn shrunk_case_five_links_three_flows() {
+        let caps = [
+            6509.155271642728,
+            508.403174199464,
+            6407.267008329971,
+            3056.8859753365055,
+            2493.034299241861,
+        ];
+        let flows = [
+            FlowDemand {
+                weight: 101.41454406201493,
+                demand_cap: 3906.4934283636953,
+                links: vec![0],
+            },
+            FlowDemand {
+                weight: 104.2710096982951,
+                demand_cap: f64::INFINITY,
+                links: vec![1],
+            },
+            FlowDemand {
+                weight: 68.24185355478131,
+                demand_cap: f64::INFINITY,
+                links: vec![1],
+            },
+        ];
+        check_respects_capacities_and_caps(&caps, &flows);
+        check_unbottlenecked_flows_reach_caps(&caps, &flows);
+        check_scaling_scales_allocation(&caps, &flows);
     }
 }

@@ -18,9 +18,10 @@
 //! the CI chaos gate diffs it against a golden snapshot.
 
 use crate::fleet::{topo_workload, FleetConfig, FleetOutcome, TopoFleetConfig};
-use crate::history::{json_field, HistoryStore};
+use crate::history::HistoryStore;
 use crate::job::JobState;
 use crate::shard::run_fleet_sharded;
+use xferopt_simcore::metrics::json_field;
 use xferopt_topo::{campaign_phases, search_routes, Planet, RouteCatalog, SearchConfig};
 
 /// The three control-plane variants a campaign compares, in scorecard order.

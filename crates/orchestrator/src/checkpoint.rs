@@ -25,12 +25,12 @@
 //! matches the killed run's.
 
 use crate::fleet::{FleetConfig, FleetOutcome, FleetSim};
-use crate::history::{json_field, HistoryStore};
+use crate::history::HistoryStore;
 use crate::job::{JobId, JobSpec, Workload};
 use crate::policy::Policy;
 use crate::route::JobRoute;
 use xferopt_scenarios::{FaultProfile, Route};
-use xferopt_simcore::metrics::json_f64;
+use xferopt_simcore::metrics::{json_f64, json_field};
 use xferopt_tuners::TunerKind;
 
 /// FNV-1a hash of a string (the checkpoint's state-digest hash — stable,
@@ -91,10 +91,25 @@ pub(crate) fn job_to_json(j: &JobSpec) -> String {
     s
 }
 
+/// Parse a required integer field of `line` exactly. Integer fields are
+/// written with `Display`, so a negative, fractional or out-of-range value
+/// is corruption and returns an error rather than being truncated.
+fn int_field<T>(line: &str, key: &str, what: &str) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    json_field(line, key)
+        .ok_or_else(|| format!("{what} missing '{key}'"))?
+        .parse::<T>()
+        .map_err(|e| format!("bad '{key}' in {what}: {e}"))
+}
+
 fn parse_job(line: &str) -> Result<JobSpec, String> {
     let req = |key: &str| {
         json_field(line, key).ok_or_else(|| format!("checkpoint job line missing '{key}': {line}"))
     };
+    let what = "checkpoint job line";
     let num = |key: &str| -> Result<f64, String> {
         req(key)?
             .parse::<f64>()
@@ -112,7 +127,7 @@ fn parse_job(line: &str) -> Result<JobSpec, String> {
             if links.is_empty() {
                 return Err(format!("empty links in checkpoint job line: {line}"));
             }
-            let path = num("path")? as usize;
+            let path = int_field(line, "path", what)?;
             JobRoute::new(name, links, path)
         }
         None => name.parse::<Route>()?.into(),
@@ -121,10 +136,10 @@ fn parse_job(line: &str) -> Result<JobSpec, String> {
         .parse()
         .map_err(|e| format!("bad tuner in checkpoint job line: {e}"))?;
     Ok(JobSpec {
-        id: JobId(num("id")? as u64),
+        id: JobId(int_field(line, "id", what)?),
         arrival_s: num("arrival_s")?,
         size_mb: num("size_mb")?,
-        priority: num("priority")? as u32,
+        priority: int_field(line, "priority", what)?,
         deadline_s: match json_field(line, "deadline_s") {
             Some(v) => Some(
                 v.parse::<f64>()
@@ -134,8 +149,8 @@ fn parse_job(line: &str) -> Result<JobSpec, String> {
         },
         route,
         tuner,
-        np: num("np")? as u32,
-        max_streams: num("max_streams")? as u32,
+        np: int_field(line, "np", what)?,
+        max_streams: int_field(line, "max_streams", what)?,
         site: match json_field(line, "site") {
             Some(v) => v
                 .parse::<u32>()
@@ -191,6 +206,7 @@ impl Checkpoint {
                 .parse::<f64>()
                 .map_err(|e| format!("bad '{key}' in checkpoint header: {e}"))
         };
+        let what = "checkpoint header";
         let flag = |key: &str| -> Result<bool, String> {
             req(key)?
                 .parse::<bool>()
@@ -224,10 +240,10 @@ impl Checkpoint {
                 };
                 Some(crate::fleet::TopoFleetConfig {
                     preset: preset.to_string(),
-                    k: num("topo_k")? as usize,
+                    k: int_field(header, "topo_k", what)?,
                     outage_regions,
                     campaign: json_field(header, "campaign").map(str::to_string),
-                    multipath: num("multipath")? as u32,
+                    multipath: int_field(header, "multipath", what)?,
                     reroute: flag("reroute")?,
                     selfheal: match json_field(header, "selfheal") {
                         Some(v) => v
@@ -241,11 +257,11 @@ impl Checkpoint {
         };
         let config = FleetConfig {
             policy,
-            seed: num("seed")? as u64,
+            seed: int_field(header, "seed", what)?,
             horizon_s: num("horizon_s")?,
             tick_s: num("tick_s")?,
             epoch_s: num("epoch_s")?,
-            link_budget: num("budget")? as u32,
+            link_budget: int_field(header, "budget", what)?,
             warm_start: flag("warm")?,
             max_match_distance: num("max_match_distance")?,
             noise_sigma: num("noise_sigma")?,
@@ -255,11 +271,11 @@ impl Checkpoint {
             topo,
             ..FleetConfig::default()
         };
-        let tick = num("tick")? as u64;
+        let tick: u64 = int_field(header, "tick", what)?;
         let t_s = num("t_s")?;
-        let njobs = num("jobs")? as usize;
-        let history_start_len = num("history_start_len")? as usize;
-        let history_appended = num("history_appended")? as usize;
+        let njobs: usize = int_field(header, "jobs", what)?;
+        let history_start_len = int_field(header, "history_start_len", what)?;
+        let history_appended = int_field(header, "history_appended", what)?;
 
         let mut jobs = Vec::with_capacity(njobs);
         let mut digest: Option<u64> = None;
@@ -498,6 +514,52 @@ mod tests {
         assert_eq!(full.telemetry_jsonl, resumed.telemetry_jsonl);
         assert_eq!(full.supervision_jsonl, resumed.supervision_jsonl);
         assert_eq!(full.history_appended, resumed.history_appended);
+    }
+
+    #[test]
+    fn integer_fields_parse_exactly_or_refuse() {
+        // Seeds above 2^53 must survive the checkpoint round trip exactly,
+        // or the replay digest cannot match.
+        let w = Workload::synthetic(3, 6);
+        let round_trip = |seed: u64| {
+            let config = FleetConfig { seed, ..cfg() };
+            let full = run_fleet(&w, &config, &mut HistoryStore::in_memory());
+            let text = {
+                let mut h = HistoryStore::in_memory();
+                let mut sim = FleetSim::new(&w, &config, &mut h);
+                for _ in 0..25 {
+                    assert!(sim.tick());
+                }
+                sim.checkpoint()
+            };
+            let ck = Checkpoint::parse(&text).unwrap();
+            assert_eq!(ck.config.seed, seed);
+            let resumed = resume_fleet(&ck, &mut HistoryStore::in_memory()).unwrap();
+            assert_eq!(full.report.render(), resumed.report.render(), "{seed}");
+            assert_eq!(full.decisions_jsonl, resumed.decisions_jsonl, "{seed}");
+            assert_eq!(full.telemetry_jsonl, resumed.telemetry_jsonl, "{seed}");
+            text
+        };
+        round_trip(u64::MAX);
+        let text = round_trip((1 << 53) + 1);
+
+        // Negative, fractional and out-of-range integers are refused, not
+        // truncated or saturated.
+        let header = text.lines().next().unwrap();
+        let job = text.lines().nth(1).unwrap();
+        let budget = format!("\"budget\":{}", cfg().link_budget);
+        let seed = format!("\"seed\":{}", (1u64 << 53) + 1);
+        for (line, from, to) in [
+            (header, budget.as_str(), "\"budget\":-5"),
+            (header, budget.as_str(), "\"budget\":4294967296"),
+            (header, seed.as_str(), "\"seed\":1e20"),
+            (job, "\"id\":0", "\"id\":1.7"),
+        ] {
+            assert!(line.contains(from), "{from} not in {line}");
+            let err = Checkpoint::parse(&text.replacen(from, to, 1)).unwrap_err();
+            let key = from.split('"').nth(1).unwrap();
+            assert!(err.contains(&format!("bad '{key}'")), "{to}: {err}");
+        }
     }
 
     #[test]

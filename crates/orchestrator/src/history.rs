@@ -34,7 +34,7 @@
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use xferopt_simcore::metrics::json_f64;
+use xferopt_simcore::metrics::{json_f64, json_field};
 use xferopt_tuners::{Point, TunerKind, WarmStart};
 
 /// File name used inside a history directory.
@@ -342,29 +342,6 @@ impl HistoryStore {
                 WarmStart::from_history(r.best.clone(), d)
             }
             _ => WarmStart::cold(cold_x0),
-        }
-    }
-}
-
-/// Extract the raw text of a top-level JSON field (string contents, array
-/// interior, or bare scalar). Mirrors the scanner used by the scenarios
-/// telemetry summarizer. Shared with the checkpoint parser.
-pub(crate) fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    match rest.as_bytes().first()? {
-        b'"' => {
-            let end = rest[1..].find('"')? + 1;
-            Some(&rest[1..end])
-        }
-        b'[' => {
-            let end = rest.find(']')?;
-            Some(&rest[1..end])
-        }
-        _ => {
-            let end = rest.find([',', '}']).unwrap_or(rest.len());
-            Some(&rest[..end])
         }
     }
 }

@@ -27,11 +27,11 @@
 //! Completed cells feed the [`HistoryStore`] (tagged with the preset name),
 //! which is how the `history` tuner earns its warm start on reruns.
 
-use crate::history::{json_field, HistoryRecord, HistoryStore};
+use crate::history::{HistoryRecord, HistoryStore};
 use xferopt_scenarios::{
     throughput_surface, ExternalLoad, FaultProfile, PaperWorld, Route, TuneDims,
 };
-use xferopt_simcore::metrics::json_f64;
+use xferopt_simcore::metrics::{json_f64, json_field};
 use xferopt_simcore::SimDuration;
 use xferopt_transfer::{StreamParams, TransferConfig};
 use xferopt_tuners::online::{OnlineStep, OnlineTrajectory};

@@ -18,7 +18,7 @@
 
 use crate::driver::DriveConfig;
 use crate::topology::PaperWorld;
-use xferopt_simcore::metrics::json_f64;
+use xferopt_simcore::metrics::{json_f64, json_field};
 use xferopt_simcore::MetricsSnapshot;
 use xferopt_transfer::{StreamParams, TransferConfig, TransferLog};
 use xferopt_tuners::TunerKind;
@@ -179,30 +179,6 @@ pub struct TelemetrySummary {
     pub actions: Vec<(String, usize)>,
     /// Lines that did not parse as any known record kind.
     pub unknown_lines: usize,
-}
-
-/// Extract the raw value text of a top-level `"key":value` field from one of
-/// our fixed-key-order JSON lines. Values are either quoted strings, bare
-/// scalars, or bracketed arrays; nested objects are not scanned.
-fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let bytes = rest.as_bytes();
-    match bytes.first()? {
-        b'"' => {
-            let end = rest[1..].find('"')? + 1;
-            Some(&rest[1..end])
-        }
-        b'[' => {
-            let end = rest.find(']')?;
-            Some(&rest[1..end])
-        }
-        _ => {
-            let end = rest.find([',', '}']).unwrap_or(rest.len());
-            Some(&rest[..end])
-        }
-    }
 }
 
 /// Summarize a telemetry JSONL document produced by [`RunTelemetry::to_jsonl`]
@@ -371,16 +347,5 @@ mod tests {
         assert!(tel.decisions_jsonl.is_empty());
         let s = summarize_telemetry(&tel.to_jsonl());
         assert_eq!(s.decisions, 0);
-    }
-
-    #[test]
-    fn json_field_extracts_scalars_strings_arrays() {
-        let line = "{\"kind\":\"decision\",\"x\":[2,8],\"observed\":12.5,\"action\":\"step\",\"projected\":false}";
-        assert_eq!(json_field(line, "kind"), Some("decision"));
-        assert_eq!(json_field(line, "x"), Some("2,8"));
-        assert_eq!(json_field(line, "observed"), Some("12.5"));
-        assert_eq!(json_field(line, "action"), Some("step"));
-        assert_eq!(json_field(line, "projected"), Some("false"));
-        assert_eq!(json_field(line, "missing"), None);
     }
 }

@@ -494,6 +494,31 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
+/// Extract the raw value text of a top-level `"key":value` field from one
+/// of the workspace's fixed-key-order JSON lines (telemetry, history,
+/// checkpoints, leaderboards, placement tables). Values are quoted strings
+/// (returned without quotes), bracketed arrays (returned without brackets)
+/// or bare scalars; nested objects are not scanned.
+pub fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\":");
+    let start = line.find(&pat)? + pat.len();
+    let rest = &line[start..];
+    match rest.as_bytes().first()? {
+        b'"' => {
+            let end = rest[1..].find('"')? + 1;
+            Some(&rest[1..end])
+        }
+        b'[' => {
+            let end = rest.find(']')?;
+            Some(&rest[1..end])
+        }
+        _ => {
+            let end = rest.find([',', '}']).unwrap_or(rest.len());
+            Some(&rest[..end])
+        }
+    }
+}
+
 /// Format a float for Prometheus exposition (`+Inf`/`-Inf`/`NaN` spellings).
 fn prom_f64(v: f64) -> String {
     if v.is_nan() {
@@ -935,6 +960,17 @@ mod tests {
         reg.histogram("h", &[], vec![1.0]);
         let jsonl = reg.snapshot().to_jsonl();
         assert!(jsonl.contains("\"min\":null,\"max\":null"), "{jsonl}");
+    }
+
+    #[test]
+    fn json_field_extracts_scalars_strings_arrays() {
+        let line = "{\"kind\":\"decision\",\"x\":[2,8],\"observed\":12.5,\"action\":\"step\",\"projected\":false}";
+        assert_eq!(json_field(line, "kind"), Some("decision"));
+        assert_eq!(json_field(line, "x"), Some("2,8"));
+        assert_eq!(json_field(line, "observed"), Some("12.5"));
+        assert_eq!(json_field(line, "action"), Some("step"));
+        assert_eq!(json_field(line, "projected"), Some("false"));
+        assert_eq!(json_field(line, "missing"), None);
     }
 }
 

@@ -15,7 +15,7 @@ use crate::planet::{Planet, PlanetError};
 use crate::world::{region_links, RouteCatalog};
 use std::collections::BTreeSet;
 use xferopt_net::{jain_index, CongestionControl};
-use xferopt_simcore::metrics::json_f64;
+use xferopt_simcore::metrics::{json_f64, json_field};
 
 /// Search knobs. The defaults match the CI smoke gate.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,11 +170,13 @@ impl PlacementTable {
     pub fn from_jsonl(doc: &str) -> Result<PlacementTable, String> {
         let mut lines = doc.lines().filter(|l| !l.trim().is_empty());
         let header = lines.next().ok_or("empty placement table")?;
-        if field(header, "kind") != Some("placement_table".to_string()) {
+        if json_field(header, "kind") != Some("placement_table") {
             return Err(format!("not a placement table header: {header}"));
         }
         let req = |key: &str| -> Result<String, String> {
-            field(header, key).ok_or_else(|| format!("header missing {key}"))
+            json_field(header, key)
+                .map(str::to_string)
+                .ok_or_else(|| format!("header missing {key}"))
         };
         let declared: usize = req("pairs")?.parse().map_err(|_| "bad pair count")?;
         let mut table = PlacementTable {
@@ -187,11 +189,13 @@ impl PlacementTable {
             score: req("score")?.parse().map_err(|_| "bad score")?,
         };
         for line in lines {
-            if field(line, "kind").as_deref() != Some("placement") {
+            if json_field(line, "kind") != Some("placement") {
                 continue;
             }
             let get = |key: &str| -> Result<String, String> {
-                field(line, key).ok_or_else(|| format!("entry missing {key}: {line}"))
+                json_field(line, key)
+                    .map(str::to_string)
+                    .ok_or_else(|| format!("entry missing {key}: {line}"))
             };
             let links: Vec<Vec<usize>> = {
                 let raw = get("links")?;
@@ -223,19 +227,6 @@ impl PlacementTable {
             ));
         }
         Ok(table)
-    }
-}
-
-/// Minimal JSON field scanner for the table's own fixed-format lines.
-fn field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        Some(stripped[..stripped.find('"')?].to_string())
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].to_string())
     }
 }
 

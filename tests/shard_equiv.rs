@@ -13,7 +13,8 @@
 //!    path bit-for-bit (the structural theorem that keeps every existing
 //!    golden valid with any shard count);
 //! 3. kill-and-resume across shard counts — checkpoint under `--shards 4`,
-//!    resume under a different count, byte-identical final outputs;
+//!    resume under a different count, byte-identical final outputs (the
+//!    same inputs also run uninterrupted in 64-tick batches);
 //! 4. the on-disk history file must be byte-stable across shard counts
 //!    (appends buffered per tick and flushed in job-id order).
 
@@ -142,39 +143,55 @@ proptest! {
 /// Kill a sharded run mid-flight, checkpoint, and resume with a *different*
 /// shard count: the checkpoint digest is taken over per-component state (in
 /// workload order, not execution order), so the final outputs must be
-/// byte-identical to the uninterrupted reference.
+/// byte-identical to the uninterrupted reference. Each input also runs
+/// uninterrupted under `--shards 4` in 64-tick batches, the way the CLI
+/// drives it, and must match the monolithic reference too.
 #[test]
 fn kill_under_shards_4_resume_under_other_counts() {
-    let wl = Workload::synthetic_sites(12, 9, 3);
-    let config = cfg(Policy::Sjf, 9, Some(FaultProfile::FlakyLink));
+    let cases = [
+        (
+            Workload::synthetic_sites(12, 9, 3),
+            cfg(Policy::Sjf, 9, Some(FaultProfile::FlakyLink)),
+        ),
+        (
+            Workload::synthetic_sites(10, 3, 4),
+            cfg(Policy::Fifo, 3, None),
+        ),
+    ];
+    for (wl, config) in &cases {
+        let mut h_full = HistoryStore::in_memory();
+        let full = run_fleet_sharded(wl, config, &mut h_full, 1);
 
-    let mut h_full = HistoryStore::in_memory();
-    let full = run_fleet_sharded(&wl, &config, &mut h_full, 1);
+        let mut h_batched = HistoryStore::in_memory();
+        let mut sim = ShardedFleetSim::new(wl, config, &mut h_batched, 4);
+        while sim.run_ticks(64) > 0 {}
+        assert_identical(&full, &sim.finish(), "batched shards=4");
 
-    for resume_shards in [1usize, 2, 8] {
-        // Simulated crash at tick 37 under --shards 4.
-        let mut h = HistoryStore::in_memory();
-        let ck_text = {
-            let mut sim = ShardedFleetSim::new(&wl, &config, &mut h, 4);
-            while sim.tick_index() < 37 {
-                assert!(sim.tick(), "run ended before the kill point");
-            }
-            sim.checkpoint()
-        };
-        let ck = Checkpoint::parse(&ck_text).expect("checkpoint parses");
-        assert_eq!(ck.tick, 37);
-        let resumed = resume_fleet_sharded(&ck, &mut h, resume_shards)
-            .expect("digest verifies under a different shard count");
-        assert_identical(&full, &resumed, &format!("resume shards={resume_shards}"));
-        assert_eq!(
-            h_full
-                .records()
-                .iter()
-                .map(|r| r.to_json())
-                .collect::<Vec<_>>(),
-            h.records().iter().map(|r| r.to_json()).collect::<Vec<_>>(),
-            "resume shards={resume_shards}: history records"
-        );
+        for resume_shards in [1usize, 2, 8] {
+            // Simulated crash at tick 37 under --shards 4.
+            let mut h = HistoryStore::in_memory();
+            let ck_text = {
+                let mut sim = ShardedFleetSim::new(wl, config, &mut h, 4);
+                while sim.tick_index() < 37 {
+                    assert!(sim.tick(), "run ended before the kill point");
+                }
+                sim.checkpoint()
+            };
+            let ck = Checkpoint::parse(&ck_text).expect("checkpoint parses");
+            assert_eq!(ck.tick, 37);
+            let resumed = resume_fleet_sharded(&ck, &mut h, resume_shards)
+                .expect("digest verifies under a different shard count");
+            assert_identical(&full, &resumed, &format!("resume shards={resume_shards}"));
+            assert_eq!(
+                h_full
+                    .records()
+                    .iter()
+                    .map(|r| r.to_json())
+                    .collect::<Vec<_>>(),
+                h.records().iter().map(|r| r.to_json()).collect::<Vec<_>>(),
+                "resume shards={resume_shards}: history records"
+            );
+        }
     }
 }
 

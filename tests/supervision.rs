@@ -132,30 +132,62 @@ fn kill_at_any_tick_then_resume_is_byte_identical() {
     // The crash/resume contract: for several kill points k, serializing a
     // checkpoint at tick k and resuming from it reproduces the uninterrupted
     // run byte for byte — reports, audit logs, telemetry, supervision.
-    let cfg = chaos_cfg();
-    let w = chaos_workload();
-    let full = run_fleet(&w, &cfg, &mut HistoryStore::in_memory());
-    for k in [1u64, 17, 60, 240] {
-        let text = {
-            let mut h = HistoryStore::in_memory();
-            let mut sim = FleetSim::new(&w, &cfg, &mut h);
-            while sim.tick_index() < k {
-                assert!(sim.tick(), "run ended before kill tick {k}");
-            }
-            sim.checkpoint()
-        };
-        let ck = Checkpoint::parse(&text).unwrap_or_else(|e| panic!("tick {k}: {e}"));
-        assert_eq!(ck.tick, k);
-        let resumed = resume_fleet(&ck, &mut HistoryStore::in_memory())
-            .unwrap_or_else(|e| panic!("tick {k}: {e}"));
-        assert_eq!(full.report.render(), resumed.report.render(), "tick {k}");
-        assert_eq!(full.decisions_jsonl, resumed.decisions_jsonl, "tick {k}");
-        assert_eq!(full.telemetry_jsonl, resumed.telemetry_jsonl, "tick {k}");
-        assert_eq!(
-            full.supervision_jsonl, resumed.supervision_jsonl,
-            "tick {k}"
-        );
-        assert_eq!(full.metrics_jsonl, resumed.metrics_jsonl, "tick {k}");
+    //
+    // Second input: a sparse workload (arrivals 400 s apart, each job done
+    // well before the next arrives). Tick 40 is t = 200 s, deep inside the
+    // first idle gap, so the checkpoint captures a fleet with nothing on
+    // the wire.
+    let sparse = Workload::new(
+        (0..4)
+            .map(|i| JobSpec::new(i, i as f64 * 400.0, 3000.0))
+            .collect(),
+    );
+    let sparse_cfg = FleetConfig {
+        policy: Policy::Sjf,
+        seed: 9,
+        horizon_s: 3600.0,
+        ..FleetConfig::default()
+    };
+    let cases = [
+        (
+            chaos_workload(),
+            chaos_cfg(),
+            &[1u64, 17, 60, 240][..],
+            false,
+        ),
+        (sparse, sparse_cfg, &[40][..], true),
+    ];
+    for (w, cfg, kills, idle) in &cases {
+        let full = run_fleet(w, cfg, &mut HistoryStore::in_memory());
+        for &k in *kills {
+            let text = {
+                let mut h = HistoryStore::in_memory();
+                let mut sim = FleetSim::new(w, cfg, &mut h);
+                while sim.tick_index() < k {
+                    assert!(sim.tick(), "run ended before kill tick {k}");
+                }
+                if *idle {
+                    assert_eq!(
+                        sim.world().active_transfer_count(),
+                        0,
+                        "tick {k} must fall in an idle gap"
+                    );
+                }
+                sim.checkpoint()
+            };
+            let ck = Checkpoint::parse(&text).unwrap_or_else(|e| panic!("tick {k}: {e}"));
+            assert_eq!(ck.tick, k);
+            let resumed = resume_fleet(&ck, &mut HistoryStore::in_memory())
+                .unwrap_or_else(|e| panic!("tick {k}: {e}"));
+            assert_eq!(full.report.render(), resumed.report.render(), "tick {k}");
+            assert_eq!(full.decisions_jsonl, resumed.decisions_jsonl, "tick {k}");
+            assert_eq!(full.telemetry_jsonl, resumed.telemetry_jsonl, "tick {k}");
+            assert_eq!(
+                full.supervision_jsonl, resumed.supervision_jsonl,
+                "tick {k}"
+            );
+            assert_eq!(full.metrics_jsonl, resumed.metrics_jsonl, "tick {k}");
+        }
     }
 }
 
