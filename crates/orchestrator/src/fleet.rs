@@ -47,7 +47,7 @@ use crate::health::{
 };
 use crate::history::{HistoryRecord, HistoryStore};
 use crate::job::{JobId, JobSpec, JobState, Workload};
-use crate::policy::Policy;
+use crate::policy::{AdmissionQueue, Policy};
 use crate::route::JobRoute;
 use xferopt_scenarios::{FaultProfile, PaperWorld, Route};
 use xferopt_simcore::metrics::{json_f64, MetricsRegistry};
@@ -662,7 +662,9 @@ pub struct FleetSim<'h> {
     workload_jobs: Vec<JobSpec>,
     world: FleetWorld,
     pending: VecDeque<JobSpec>,
-    queued: Vec<JobSpec>,
+    /// Arrived jobs awaiting admission, in insertion order, with the
+    /// policy's admission index.
+    queued: AdmissionQueue,
     running: BTreeMap<JobId, RunningJob>,
     quarantined: BTreeMap<JobId, QuarantinedJob>,
     /// Stats of requeued jobs currently back in the queue.
@@ -681,13 +683,6 @@ pub struct FleetSim<'h> {
     /// Records appended during the current tick, drained by the sharded
     /// runner (which re-serializes them into the real store in job-id order).
     tick_appends: Vec<(JobId, HistoryRecord)>,
-    /// False while the admission picture is unchanged since the last blocked
-    /// admission pass; the next tick then skips the O(queue) policy scan
-    /// entirely. Any queue mutation, reservation release, or breaker state
-    /// transition sets it (the admission loop itself has no side effects on
-    /// a blocked attempt, so skipping it is byte-exact — enforced by the
-    /// golden snapshots).
-    admission_dirty: bool,
     last_shed_s: Vec<f64>,
     /// The self-healing control plane; `Some` only when `topo.selfheal`
     /// (quiet fleets carry no governor and keep their digests byte-stable).
@@ -809,7 +804,7 @@ impl<'h> FleetSim<'h> {
             workload_jobs: workload.jobs().to_vec(),
             world,
             pending: workload.jobs().iter().cloned().collect(),
-            queued: Vec::new(),
+            queued: AdmissionQueue::new(config.policy),
             running: BTreeMap::new(),
             quarantined: BTreeMap::new(),
             carry: BTreeMap::new(),
@@ -825,7 +820,6 @@ impl<'h> FleetSim<'h> {
             history_appended: 0,
             history_start_len,
             tick_appends: Vec::new(),
-            admission_dirty: true,
             last_shed_s: vec![f64::NEG_INFINITY; nlinks],
             governor,
             tick: 0,
@@ -929,7 +923,6 @@ impl<'h> FleetSim<'h> {
         {
             let j = self.pending.pop_front().expect("front checked");
             self.queued.push(j);
-            self.admission_dirty = true;
         }
         // 1b. Requeues: quarantined jobs whose backoff elapsed rejoin the
         // queue (in job-id order). Under the governor each requeue costs a
@@ -957,12 +950,10 @@ impl<'h> FleetSim<'h> {
             );
             self.carry.insert(id, q.carry);
             self.queued.push(q.spec);
-            self.admission_dirty = true;
         }
         // 1c. Breakers advance (cooldowns elapse into half-open probes).
         for (l, tr) in self.breakers.tick(self.t) {
             self.push_event(tr, None, Some(l), String::new());
-            self.admission_dirty = true;
         }
         // 1d. Sustained-pressure shedding.
         self.shed();
@@ -971,23 +962,22 @@ impl<'h> FleetSim<'h> {
         // its bytes are conserved (re-admission folds the old transfer's
         // progress into `moved_base` and runs the remainder).
         if self.config.topo.as_ref().is_some_and(|t| t.reroute) {
-            let moves: Vec<(usize, JobRoute)> = match &self.world {
+            let moves: Vec<(u64, JobRoute)> = match &self.world {
                 FleetWorld::Classic(_) => Vec::new(),
                 FleetWorld::Planet(pf) => self
                     .queued
                     .iter()
-                    .enumerate()
                     .filter(|(_, j)| {
                         self.carry.contains_key(&j.id)
                             && !self.breakers.route_admits(j.route.links())
                     })
-                    .filter_map(|(i, j)| {
+                    .filter_map(|(seq, j)| {
                         pf.reroute_candidate(&j.route, &self.breakers)
-                            .map(|r| (i, r))
+                            .map(|r| (seq, r))
                     })
                     .collect(),
             };
-            for (i, next) in moves {
+            for (seq, next) in moves {
                 // Re-routes are retry-budget actions too: an unpayable hop
                 // waits (the job keeps its blocked route and retries later).
                 if let Some(g) = &mut self.governor {
@@ -995,47 +985,25 @@ impl<'h> FleetSim<'h> {
                         break;
                     }
                 }
-                let id = self.queued[i].id;
-                let detail = format!("{}=>{}", self.queued[i].route.name(), next.name());
+                let job = self.queued.get(seq);
+                let id = job.id;
+                let detail = format!("{}=>{}", job.route.name(), next.name());
                 self.supervision.reroutes += 1;
                 self.push_event("reroute", Some(id.to_string()), None, detail);
-                self.queued[i].route = next;
-                self.admission_dirty = true;
+                self.queued.set_route(seq, next);
             }
         }
 
         // 2. Admission: policy pick over breaker-admissible jobs, with
-        // head-of-line blocking on link capacity. Skipped outright while
-        // nothing that feeds the pick (queue, reservations, breaker states,
-        // admitted-by-class counters) has changed since the last blocked
-        // pass: a re-run would rebuild the same view, pick the same job, and
-        // block the same way, with zero side effects.
-        while self.admission_dirty {
-            let mask: Vec<usize> = self
-                .queued
-                .iter()
-                .enumerate()
-                .filter(|(_, j)| self.breakers.route_admits(j.route.links()))
-                .map(|(i, _)| i)
-                .collect();
-            if mask.is_empty() {
-                self.admission_dirty = false;
-                break;
-            }
-            let view: Vec<JobSpec> = mask.iter().map(|&i| self.queued[i].clone()).collect();
-            let Some(vidx) = self.config.policy.pick_next(&view, &self.admitted_by_class) else {
-                self.admission_dirty = false;
-                break;
-            };
-            let qidx = mask[vidx];
+        // head-of-line blocking on link capacity.
+        while let Some(seq) = self.queued.pick(&self.breakers, &self.admitted_by_class) {
             let Some(grant) = self
                 .admission
-                .try_admit_gated(&self.queued[qidx], &mut self.breakers)
+                .try_admit_gated(self.queued.get(seq), &mut self.breakers)
             else {
-                self.admission_dirty = false;
                 break; // head-of-line blocked until a reservation frees up
             };
-            let spec = self.queued.remove(qidx);
+            let spec = self.queued.remove(seq);
             self.admit(spec, grant);
         }
 
@@ -1072,7 +1040,6 @@ impl<'h> FleetSim<'h> {
                 record_epoch(&mut job, self.t, &report);
             }
             self.admission.release(id);
-            self.admission_dirty = true;
             for &l in job.spec.route.links() {
                 if let Some(tr) = self.breakers.on_success(l, self.t) {
                     self.push_event(tr, None, Some(l), String::new());
@@ -1146,9 +1113,6 @@ impl<'h> FleetSim<'h> {
                     for &l in route.links() {
                         if let Some(tr) = self.breakers.on_success(l, self.t) {
                             self.push_event(tr, None, Some(l), String::new());
-                            // A state transition (half-open closing) widens
-                            // what admission may grant next tick.
-                            self.admission_dirty = true;
                         }
                     }
                     self.next_epoch(id, observed);
@@ -1266,20 +1230,18 @@ impl<'h> FleetSim<'h> {
         // Queued jobs have no live transfer yet: steering them onto the
         // refreshed chosen routes is free (carried bytes are conserved by
         // the re-admission fold).
-        let updates: Vec<(usize, JobRoute)> = {
+        let updates: Vec<(u64, JobRoute)> = {
             let FleetWorld::Planet(pf) = &self.world else {
                 unreachable!("checked above")
             };
             self.queued
                 .iter()
-                .enumerate()
                 .filter(|(_, j)| j.route.links().iter().any(|l| dead.contains(l)))
-                .filter_map(|(i, j)| refreshed_route(pf, j.route.name()).map(|r| (i, r)))
+                .filter_map(|(seq, j)| refreshed_route(pf, j.route.name()).map(|r| (seq, r)))
                 .collect()
         };
-        for (i, next) in updates {
-            self.queued[i].route = next;
-            self.admission_dirty = true;
+        for (seq, next) in updates {
+            self.queued.set_route(seq, next);
         }
 
         // Running jobs on a degraded link migrate onto the refreshed chosen
@@ -1320,7 +1282,6 @@ impl<'h> FleetSim<'h> {
             record_epoch(&mut job, self.t, &report);
         }
         self.admission.release(id);
-        self.admission_dirty = true;
         self.world
             .world_mut()
             .set_params(job.tid, StreamParams::new(0, 1), false);
@@ -1381,13 +1342,11 @@ impl<'h> FleetSim<'h> {
         let victim = self
             .queued
             .iter()
-            .enumerate()
             .filter(|(_, j)| j.route.links().iter().any(|l| degraded.contains(l)))
             .min_by_key(|(_, j)| (j.priority, std::cmp::Reverse(j.id)))
-            .map(|(i, _)| i);
-        let Some(pos) = victim else { return };
-        let spec = self.queued.remove(pos);
-        self.admission_dirty = true;
+            .map(|(seq, _)| seq);
+        let Some(seq) = victim else { return };
+        let spec = self.queued.remove(seq);
         self.supervision.brownouts += 1;
         self.push_event(
             "brownout",
@@ -1655,7 +1614,6 @@ impl<'h> FleetSim<'h> {
     fn quarantine(&mut self, id: JobId) {
         let mut job = self.running.remove(&id).expect("job is running");
         self.admission.release(id);
-        self.admission_dirty = true;
         // Idle the transfer: zero streams move nothing but keep the byte
         // counter alive for the resumed attempt. Multipath extras are folded
         // into moved_base and abandoned — a retried job runs single-path.
@@ -1777,13 +1735,11 @@ impl<'h> FleetSim<'h> {
             let victim = self
                 .queued
                 .iter()
-                .enumerate()
                 .filter(|(_, j)| j.route.links().contains(&link))
                 .min_by_key(|(_, j)| (j.priority, std::cmp::Reverse(j.id)))
-                .map(|(i, _)| i);
-            let Some(pos) = victim else { continue };
-            let spec = self.queued.remove(pos);
-            self.admission_dirty = true;
+                .map(|(seq, _)| seq);
+            let Some(seq) = victim else { continue };
+            let spec = self.queued.remove(seq);
             self.supervision.shed += 1;
             self.push_event(
                 "shed",
@@ -1823,7 +1779,7 @@ impl<'h> FleetSim<'h> {
         s.push_str(&format!(
             "pending={};queued={};",
             ids(self.pending.iter()),
-            ids(self.queued.iter())
+            ids(self.queued.iter().map(|(_, j)| j))
         ));
         for (id, j) in &self.running {
             s.push_str(&format!(
@@ -1945,7 +1901,7 @@ impl<'h> FleetSim<'h> {
                 self.world.world(),
             ));
         }
-        for spec in std::mem::take(&mut self.queued) {
+        for spec in self.queued.into_jobs() {
             let o = match self.carry.remove(&spec.id) {
                 Some(c) => outcome_from_carry(
                     spec,

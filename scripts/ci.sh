@@ -61,15 +61,15 @@ diff "$FLEET_TMP/a.txt" "$FLEET_TMP/s4a.txt" \
 diff "$FLEET_TMP/m1.txt" "$FLEET_TMP/m8.txt" \
   || { echo "multi-site --shards 8 diverged from --shards 1"; exit 1; }
 
-echo "==> perf smoke (fleet scaling, quick mode)"
+echo "==> perf smoke (fleet tick cost vs queue depth, quick mode)"
 (cd "$FLEET_TMP" && "$OLDPWD/target/release/fleet" --quick)
 [ -f "$FLEET_TMP/BENCH_fleet.json" ] \
   || { echo "BENCH_fleet.json missing"; exit 1; }
-FSPEEDUP="$(awk -F': ' '/"fleet_10k_shard8_speedup"/ \
+FDEPTH="$(awk -F': ' '/"monolith_10k_over_1k"/ \
   {gsub(/[,"]/, "", $2); print $2}' "$FLEET_TMP/BENCH_fleet.json")"
-awk -v s="$FSPEEDUP" 'BEGIN { exit !(s >= 2.0) }' \
-  || { echo "scaling regression: 10k-job sharded speedup ${FSPEEDUP}x < 2x"; exit 1; }
-echo "    10k-job 8-shard tick-throughput speedup: ${FSPEEDUP}x"
+awk -v s="$FDEPTH" 'BEGIN { exit !(s >= 0.3) }' \
+  || { echo "queue-depth regression: 10k-job monolith runs ${FDEPTH}x the 1k-job ticks/s (< 0.3x)"; exit 1; }
+echo "    10k-job vs 1k-job monolith ticks/s: ${FDEPTH}x"
 
 echo "==> perf smoke (allocation engine, quick mode)"
 # Run inside the temp dir so the quick-mode JSON does not clobber the
